@@ -65,10 +65,11 @@ cross-checks the sharded engine against the batch verdict per
 scenario.  ``--report FORMAT`` (repeatable, with ``--audit``) keeps a
 rolling report file per format in ``--report-dir`` (default
 ``<dest>.reports``), re-rendered after every audited batch.
-``--pipeline`` overlaps polling, appending, and auditing as staged
-threads over bounded queues (:mod:`repro.ingest.pipeline`) — same
-verdicts and stored bytes, higher throughput when audits dominate —
-with ``--pipeline-depth`` sizing the queues; passing several ``SRC``
+``--pipeline`` runs the ingest runner's stages staged instead of
+inline: polling, appending, and auditing overlap as threads over
+bounded queues (``pipeline_depth > 0`` in :mod:`repro.ingest.runner`) —
+same verdicts and stored bytes, higher throughput when audits dominate
+— with ``--pipeline-depth`` sizing the queues; passing several ``SRC``
 paths merges the exports by event time under one checkpoint.  ``trace
 resume --verify`` deep-verifies the destination (read-only) before
 ingesting anything and refuses — exit 1 — when it is damaged.
@@ -928,8 +929,12 @@ def _source_display(args: argparse.Namespace) -> str:
     return " ".join(args.source)
 
 
-def _pipeline_settings(args: argparse.Namespace) -> dict | None:
-    """The PipelinedIngestRunner-only options (``None`` = sequential)."""
+def _pipeline_settings(args: argparse.Namespace) -> int:
+    """The runner's ``pipeline_depth``: 0 (inline) without
+    ``--pipeline``; with it, ``--pipeline-depth`` (default 4), which
+    must be at least 1."""
+    from repro.ingest import validate_pipeline_options
+
     if not args.pipeline:
         if args.pipeline_depth is not None:
             # Neutralise-don't-kill, like the other ignored flags.
@@ -938,9 +943,10 @@ def _pipeline_settings(args: argparse.Namespace) -> dict | None:
                 "queues; ignoring it without --pipeline",
                 file=sys.stderr,
             )
-        return None
+        return 0
     depth = 4 if args.pipeline_depth is None else args.pipeline_depth
-    return {"pipeline_depth": depth}
+    validate_pipeline_options(depth)
+    return depth
 
 
 def _ingest_runner_options(args: argparse.Namespace) -> dict:
@@ -1064,7 +1070,7 @@ def _drive_ingest(args: argparse.Namespace, runner, checkpoint_path: str) -> int
             file=sys.stderr,
         )
         return 130
-    pipelined = bool(getattr(args, "pipeline", False))
+    pipelined = runner.pipeline_depth > 0
     if args.format == "json":
         import json
 
@@ -1118,11 +1124,8 @@ def _trace_tail(args: argparse.Namespace) -> int:
 
     from repro.core.trace import make_disk_store
     from repro.errors import IngestError, TraceError
-    from repro.ingest import (
-        IngestRunner,
-        PipelinedIngestRunner,
-        checkpoint_path_for,
-    )
+    from repro.ingest import IngestRunner, checkpoint_path_for
+    from repro.ingest.runner import validate_runner_options
 
     checkpoint_path = args.checkpoint or checkpoint_path_for(args.dest)
     if os.path.exists(checkpoint_path):
@@ -1134,19 +1137,14 @@ def _trace_tail(args: argparse.Namespace) -> int:
         )
         return 2
     options = _ingest_runner_options(args)
-    pipeline = _pipeline_settings(args)
     try:
-        from repro.ingest import validate_pipeline_options
-        from repro.ingest.runner import validate_runner_options
-
         # Validate flags before the destination exists, so a bad flag
         # does not leave a stray empty store blocking the retry.
+        depth = _pipeline_settings(args)
         validate_runner_options(
             options["batch_events"], options["stats_cadence"],
             options["interval"], options["audit_jobs"],
         )
-        if pipeline is not None:
-            validate_pipeline_options(pipeline["pipeline_depth"])
         source = _resolve_cli_source(args)
         store = make_disk_store(args.dest, args.store)
     except (TraceError, ValueError) as error:
@@ -1156,15 +1154,10 @@ def _trace_tail(args: argparse.Namespace) -> int:
         )
         return 2
     try:
-        if pipeline is None:
-            runner = IngestRunner(
-                source, store, checkpoint_path=checkpoint_path, **options
-            )
-        else:
-            runner = PipelinedIngestRunner(
-                source, store, checkpoint_path=checkpoint_path,
-                **pipeline, **options,
-            )
+        runner = IngestRunner(
+            source, store, checkpoint_path=checkpoint_path,
+            pipeline_depth=depth, **options,
+        )
         return _drive_ingest(args, runner, checkpoint_path)
     except (TraceError, IngestError) as error:
         print(f"ingest failed: {error}", file=sys.stderr)
@@ -1174,11 +1167,7 @@ def _trace_tail(args: argparse.Namespace) -> int:
 def _trace_resume(args: argparse.Namespace) -> int:
     from repro.core.store import open_store
     from repro.errors import IngestError, TraceError
-    from repro.ingest import (
-        IngestRunner,
-        PipelinedIngestRunner,
-        checkpoint_path_for,
-    )
+    from repro.ingest import IngestRunner, checkpoint_path_for
 
     checkpoint_path = args.checkpoint or checkpoint_path_for(args.dest)
     if args.verify:
@@ -1202,24 +1191,18 @@ def _trace_resume(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 1
-    pipeline = _pipeline_settings(args)
     try:
+        depth = _pipeline_settings(args)
         source = _resolve_cli_source(args)
         store = open_store(args.dest)
     except (TraceError, ValueError) as error:
         print(f"cannot resume {args.dest!r}: {error}", file=sys.stderr)
         return 2
     try:
-        if pipeline is None:
-            runner = IngestRunner.resume(
-                source, store, checkpoint_path,
-                **_ingest_runner_options(args),
-            )
-        else:
-            runner = PipelinedIngestRunner.resume(
-                source, store, checkpoint_path,
-                **pipeline, **_ingest_runner_options(args),
-            )
+        runner = IngestRunner.resume(
+            source, store, checkpoint_path, pipeline_depth=depth,
+            **_ingest_runner_options(args),
+        )
         return _drive_ingest(args, runner, checkpoint_path)
     except (TraceError, IngestError) as error:
         close = getattr(store, "close", None)

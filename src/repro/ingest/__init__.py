@@ -13,14 +13,16 @@ growing — and the TraceStore + delta-audit machinery:
 * :mod:`repro.ingest.checkpoint` — atomic, checksummed resume tokens
   binding a source position to a destination store revision.
 * :mod:`repro.ingest.runner` — :class:`IngestRunner`, the cadenced
-  poll → batched append → delta audit → checkpoint loop, with
+  poll → batched append + checkpoint → delta audit cycle, with
   :meth:`IngestRunner.resume` for exactly-once continuation after a
-  kill.
-* :mod:`repro.ingest.pipeline` — :class:`PipelinedIngestRunner`, the
-  same cycle as three overlapped stages over bounded queues (poll ∥
-  append+checkpoint ∥ coalescing delta audit) with backpressure and an
-  audit-lag watermark; :class:`MergedSource` (in ``sources``) feeds it
-  N exports interleaved by event time under one atomic checkpoint.
+  kill.  ``pipeline_depth`` picks the schedule: 0 runs the stages
+  inline on the calling thread; N > 0 overlaps them as threads over
+  queues bounded at N batches (poll ∥ append+checkpoint ∥ coalescing
+  delta audit) with backpressure and an audit-lag watermark.
+  :class:`PipelinedIngestRunner` is the staged runner by name (depth 4
+  by default).  :class:`MergedSource` (in ``sources``) feeds either
+  schedule N exports interleaved by event time under one atomic
+  checkpoint.
 
 CLI counterparts: ``python -m repro trace tail`` and ``trace resume``
 (``--pipeline``, repeatable ``SRC``).
@@ -36,11 +38,13 @@ from repro.ingest.checkpoint import (
     write_checkpoint,
 )
 from repro.ingest.http_source import HTTPIngestSource
-from repro.ingest.pipeline import (
+from repro.ingest.runner import (
+    IngestBatch,
+    IngestRunner,
+    IngestSummary,
     PipelinedIngestRunner,
     validate_pipeline_options,
 )
-from repro.ingest.runner import IngestBatch, IngestRunner, IngestSummary
 from repro.ingest.sources import (
     SOURCE_KINDS,
     CSVExportSource,

@@ -130,9 +130,10 @@ def trace_stats(
     The violation-adjacent counters are the cheap log-level signals the
     axioms formalise: silent rejections (Axiom 6 opacity), involuntary
     interruptions (Axiom 5 evidence), malice flags (Axiom 4's detector
-    output), and task cancellations.  ``audit_lag`` attaches the
-    pipelined-ingest backpressure watermark to the snapshot (see
-    :mod:`repro.ingest.pipeline`); ``sources`` attaches the merged
+    output), and task cancellations.  ``audit_lag`` attaches a staged
+    ingest's backpressure watermark to the snapshot (an
+    :class:`~repro.ingest.IngestRunner` with ``pipeline_depth > 0``;
+    see :mod:`repro.ingest.runner`); ``sources`` attaches the merged
     tail's per-child federation counters (see
     :meth:`~repro.ingest.sources.MergedSource.source_stats`).
     """

@@ -57,7 +57,19 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         pass
 
     def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body's extent is unknown: answer, then drop the
+            # connection rather than read to EOF or misread the rest.
+            self.close_connection = True
+            return _BodyError(
+                "Content-Length must be a non-negative integer, "
+                f"got {declared!r}"
+            )
         if length == 0:
             return None
         raw = self.rfile.read(length)
@@ -71,6 +83,8 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         self.send_response(response.status)
         self.send_header("Content-Type", response.content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 

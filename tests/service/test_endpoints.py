@@ -1,6 +1,7 @@
 """Endpoint round trips over live HTTP, both disk backends included."""
 
 import json
+import socket
 import urllib.request
 
 import pytest
@@ -187,6 +188,28 @@ class TestErrorContract:
         assert caught.value.code == 400
         body = json.loads(caught.value.read().decode("utf-8"))
         assert "not valid JSON" in body["error"]["message"]
+
+    @pytest.mark.parametrize("declared", ["abc", "-1"])
+    def test_bad_content_length_is_400(self, service, declared):
+        request = (
+            "POST /tenants HTTP/1.1\r\n"
+            f"Host: {service.host}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {declared}\r\n\r\n"
+        ).encode("ascii")
+        with socket.create_connection(
+            (service.host, service.port), timeout=10
+        ) as conn:
+            conn.sendall(request)
+            raw = b""
+            while chunk := conn.recv(65536):  # the server closes
+                raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), raw
+        error = json.loads(body.decode("utf-8"))["error"]
+        assert error["type"] == "BadRequestError"
+        assert error["status"] == 400
+        assert "Content-Length" in error["message"]
 
     def test_unrouted_path_and_method(self, client):
         expect_error(

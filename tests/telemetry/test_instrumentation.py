@@ -7,8 +7,11 @@ import pytest
 from repro.core.audit import AuditEngine
 from repro.core.store.sqlite import SQLiteTraceStore
 from repro.core.trace import PlatformTrace
-from repro.ingest import IngestRunner, JSONLExportSource
-from repro.ingest.pipeline import PipelinedIngestRunner
+from repro.ingest import (
+    IngestRunner,
+    JSONLExportSource,
+    PipelinedIngestRunner,
+)
 from repro.query import TraceQuery
 from repro.shard import make_audit_session
 from repro.telemetry import MetricsRegistry, using_registry
